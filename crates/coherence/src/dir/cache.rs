@@ -257,6 +257,13 @@ impl DirCacheController {
         self.outgoing.push_front(msg);
     }
 
+    /// True when a completed-demand notification is waiting for
+    /// [`Self::take_completed`].
+    #[must_use]
+    pub fn has_completed(&self) -> bool {
+        !self.completed.is_empty()
+    }
+
     /// Takes the oldest completed-demand notification, if one is pending.
     pub fn take_completed(&mut self) -> Option<CompletedAccess> {
         self.completed.pop_front()

@@ -233,6 +233,13 @@ impl SnoopCacheController {
         self.outgoing_bus.len() + self.outgoing_data.len()
     }
 
+    /// True when a completed-demand notification is waiting for
+    /// [`Self::take_completed`].
+    #[must_use]
+    pub fn has_completed(&self) -> bool {
+        !self.completed.is_empty()
+    }
+
     /// Takes the oldest completed-demand notification, if one is pending.
     pub fn take_completed(&mut self) -> Option<SnoopCompletedAccess> {
         self.completed.pop_front()

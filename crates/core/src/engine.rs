@@ -24,7 +24,20 @@
 //!   [`ForwardProgressMode`] lifecycle (entry chosen by the protocol, expiry
 //!   handled here);
 //! * **metrics accumulation** — the protocol-independent half of
-//!   [`RunMetrics`] (processor stats, SafetyNet stats, recovery costs).
+//!   [`RunMetrics`] (processor stats, SafetyNet stats, recovery costs);
+//! * **quiescence fast-forward** — before each cycle the engine computes
+//!   the *idle horizon*, the earliest cycle at which anything can happen
+//!   (a processor's think time ending, a link arrival, a staged message
+//!   ripening, a checkpoint, a timeout scan, a fault, a mode expiry, a
+//!   telemetry window). Every cycle before it only accounts itself to the
+//!   current mode and turns the fabrics' round-robin pointers, so the
+//!   engine settles those cycles in bulk instead of stepping them.
+//!   [`SystemEngine::run_for`] jumps straight to the horizon;
+//!   [`SystemEngine::step`] settles a one-cycle skip through the same code
+//!   path. The horizon is recomputed from simulated state on every decision
+//!   (never cached), so a `step()` loop, one `run_for` and any chunking of
+//!   it, at any worker count, take identical decisions and produce identical
+//!   state — `tests/fast_forward.rs` pins this.
 //!
 //! Each protocol reduces to a [`ProtocolNode`] implementation: the
 //! architectural state it checkpoints, the per-node controller hooks the
@@ -163,6 +176,13 @@ impl<M: Copy> StagedOutbox<M> {
         self.queue.len()
     }
 
+    /// The cycle at which the front message ripens (the next cycle a pump
+    /// can release anything), or `None` when nothing is staged.
+    #[must_use]
+    pub fn next_ready(&self) -> Option<Cycle> {
+        self.queue.front().map(|&(ready, _)| ready)
+    }
+
     /// Hands every ripe message at the queue's front to `send` in FIFO
     /// order. `send` returns `false` when the fabric has no space (the
     /// message stays staged and pumping stops, preserving order).
@@ -179,6 +199,11 @@ impl<M: Copy> StagedOutbox<M> {
 /// Counters describing how much per-cycle work the engine actually did —
 /// the observable face of the idle-skip/wake-up machinery, used by the
 /// invariant tests shared by both protocols.
+///
+/// Cycles the engine fast-forwards over ([`EngineProbe::fast_forward_cycles`])
+/// add no polls, skips or visits to any counter: the engine visited nothing
+/// on them. The counters therefore measure work actually performed, not the
+/// work a cycle-by-cycle scan would have performed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineProbe {
     /// Processor polls performed (the processor was awake and was asked for
@@ -196,6 +221,9 @@ pub struct EngineProbe {
     /// either pumps controller output toward a fabric or retires the node as
     /// idle). The dense equivalent is one visit per node per cycle.
     pub exchange_outbox_visits: u64,
+    /// Cycles settled in bulk by the quiescence fast-forward instead of
+    /// being stepped (see the module docs).
+    pub fast_forward_cycles: u64,
 }
 
 /// Active-node worklists for the exchange phase: the engine-side twin of the
@@ -644,6 +672,23 @@ pub trait ProtocolNode {
     /// ordering stats, address-network counts).
     fn collect_protocol_metrics(&self, arch: &Self::Arch, now: Cycle, m: &mut RunMetrics);
 
+    /// The protocol's own idle horizon: the earliest cycle after `now` at
+    /// which [`ProtocolNode::exchange`] can do anything beyond turning its
+    /// fabrics' round-robin pointers. `now + 1` whenever a fabric holds a
+    /// queued packet or a packet to eject, a controller holds output, a
+    /// completion waits for delivery or a staged message is ripe; otherwise
+    /// the earliest link arrival, staged-message ripening or (on pooled
+    /// fabrics) watchdog stall onset; `Cycle::MAX` when nothing is
+    /// scheduled. Must depend on simulated state only, and must leave in
+    /// O(1) when a fabric's active set is non-empty.
+    fn idle_horizon(arch: &Self::Arch, now: Cycle) -> Cycle;
+
+    /// Settles `cycles` consecutive idle exchanges ending at cycle `last`,
+    /// all strictly before [`ProtocolNode::idle_horizon`]: advances each
+    /// fabric exactly as that many idle ticks would have
+    /// ([`Network::skip_idle_ticks`]).
+    fn skip_idle_cycles(arch: &mut Self::Arch, last: Cycle, cycles: u64);
+
     /// Cumulative counters of the protocol's primary data-carrying fabric,
     /// differenced per window by the telemetry sampler (the directory torus
     /// or the snooping data torus). The default reports zeros for protocols
@@ -937,16 +982,126 @@ impl<P: ProtocolNode> SystemEngine<P> {
     /// Runs the system for `cycles` cycles and returns the metrics collected
     /// so far. Returns an error if a transition occurred that the fully
     /// designed protocol considers impossible (a simulator bug).
+    ///
+    /// Idle spans are settled in bulk up to the idle horizon (see the
+    /// module docs); the result is identical to `cycles` calls of
+    /// [`SystemEngine::step`].
     pub fn run_for(&mut self, cycles: CycleDelta) -> Result<RunMetrics, ProtocolError> {
         let end = self.now + cycles;
         while self.now < end {
-            self.step()?;
+            let horizon = self.idle_horizon();
+            if horizon > self.now + 1 {
+                self.settle_idle((horizon - 1).min(end));
+            } else {
+                self.step_cycle()?;
+            }
         }
         Ok(self.collect_metrics())
     }
 
-    /// Advances the system by one cycle.
+    /// Advances the system by one cycle: settles it as idle when it lies
+    /// before the idle horizon, steps it in full otherwise.
     pub fn step(&mut self) -> Result<(), ProtocolError> {
+        if self.idle_horizon() > self.now + 1 {
+            self.settle_idle(self.now + 1);
+            return Ok(());
+        }
+        self.step_cycle()
+    }
+
+    /// The idle horizon: the earliest cycle after `now` at which a step can
+    /// do anything besides accounting the cycle to the current mode (and,
+    /// outside a recovery stall, turning the fabrics' round-robin
+    /// pointers). It is the minimum over every due source — the recovery
+    /// resume, the telemetry window, the protocol's own horizon, the
+    /// timeout scan, the SafetyNet schedule, the forward-progress expiry,
+    /// the next injected recovery, the fault director, and each
+    /// processor's think time — where an overdue source means `now + 1`.
+    /// A processor presenting a request is due every cycle unless the
+    /// slow-start gate provably holds it back (a finite limit the demand
+    /// census already meets: nothing changes the census while the machine
+    /// is idle). Busy machines leave through the protocol's O(1) check.
+    fn idle_horizon(&self) -> Cycle {
+        let next = self.now + 1;
+        let window = self
+            .telemetry
+            .as_ref()
+            .and_then(TelemetryRecorder::next_window)
+            .unwrap_or(Cycle::MAX);
+        if next < self.resume_at {
+            // Recovery stall: the timeline and the sampler are all a cycle
+            // touches until the resume.
+            return self.resume_at.min(window).max(next);
+        }
+        let mut due = P::idle_horizon(&self.arch, self.now)
+            .min(window)
+            .min(self.next_timeout_scan)
+            .min(self.safetynet.next_due(self.now));
+        if let Some(until) = self.forward_progress_until() {
+            due = due.min(until);
+        }
+        if let Some(at) = self.next_injected_recovery {
+            due = due.min(at);
+        }
+        if let Some(at) = self
+            .fault_director
+            .as_ref()
+            .and_then(|d| d.next_due(self.now))
+        {
+            due = due.min(at);
+        }
+        if due <= next {
+            return next;
+        }
+        let mut gate_closed = None;
+        for proc in P::procs(&self.arch) {
+            match proc.ready_at() {
+                Some(until) if until > self.now => due = due.min(until),
+                Some(_) if proc.is_presenting() => {
+                    let closed = *gate_closed.get_or_insert_with(|| {
+                        let limit = self.outstanding_limit();
+                        limit != usize::MAX && P::outstanding_demand(&self.arch) >= limit
+                    });
+                    if !closed {
+                        return next;
+                    }
+                }
+                Some(_) => return next,
+                None => {}
+            }
+        }
+        due
+    }
+
+    /// Settles the idle cycles `now + 1 ..= last` (all before the idle
+    /// horizon) in bulk: each is accounted to the mode it would have run
+    /// in, and — outside a recovery stall, whose cycles never reach the
+    /// exchange — the protocol's fabrics advance as that many idle ticks
+    /// would have.
+    fn settle_idle(&mut self, last: Cycle) {
+        let first = self.now + 1;
+        let cycles = last + 1 - first;
+        let mode = self.engine_mode(first);
+        self.timeline.observe_span(first, cycles, mode);
+        if mode != EngineMode::Rollback {
+            P::skip_idle_cycles(&mut self.arch, last, cycles);
+        }
+        self.probe.fast_forward_cycles += cycles;
+        self.now = last;
+    }
+
+    /// The cycle at which the current forward-progress measure expires.
+    fn forward_progress_until(&self) -> Option<Cycle> {
+        match self.fp_mode {
+            ForwardProgressMode::Normal => None,
+            ForwardProgressMode::AdaptiveRoutingDisabled { until }
+            | ForwardProgressMode::SlowStart { until, .. }
+            | ForwardProgressMode::ReservedSlots { until } => Some(until),
+        }
+    }
+
+    /// Steps one cycle in full.
+    fn step_cycle(&mut self) -> Result<(), ProtocolError> {
         if let Some(e) = self.protocol_error.take() {
             return Err(e);
         }
@@ -1129,11 +1284,13 @@ impl<P: ProtocolNode> SystemEngine<P> {
                 continue;
             }
             let outcome = P::cpu_request(&mut self.arch, i, now, req);
-            // The request may have enqueued protocol output at this node's
-            // controllers (a miss's coherence request, an eviction's
-            // writeback): the exchange phase must pump it. Idle insertions
-            // retire on their first visit.
-            self.exchange.outbox.insert(i);
+            // An accepted request may have enqueued protocol output at this
+            // node's controllers (a miss's coherence request): the exchange
+            // phase must pump it. Idle insertions retire on their first
+            // visit. A stall enqueues nothing.
+            if outcome != EngineAccess::Stall {
+                self.exchange.outbox.insert(i);
+            }
             let proc = &mut P::procs_mut(&mut self.arch)[i];
             match outcome {
                 EngineAccess::Hit { latency } => {
@@ -1205,12 +1362,14 @@ impl<P: ProtocolNode> SystemEngine<P> {
         match polls {
             Some(polls) => {
                 self.probe.processor_polls += polls;
-                // The parallel tick reports only its poll count, not which
-                // nodes issued misses: arm the outbox worklist for every
-                // ready node (a superset — the idle ones retire on their
-                // first exchange visit).
+                // The parallel tick reports only its poll count: arm the
+                // outbox worklist for every ready node whose request was
+                // accepted — the same set the serial tick arms. A node
+                // still presenting its request stalled.
                 for &node in &ti.ready {
-                    self.exchange.outbox.insert(node as usize);
+                    if !P::procs(&self.arch)[node as usize].is_presenting() {
+                        self.exchange.outbox.insert(node as usize);
+                    }
                 }
             }
             None => {
@@ -1227,9 +1386,11 @@ impl<P: ProtocolNode> SystemEngine<P> {
                         continue;
                     }
                     let outcome = P::cpu_request(&mut self.arch, i, now, req);
-                    // See `tick_processors`: any presented request may have
+                    // See `tick_processors`: an accepted request may have
                     // enqueued controller output.
-                    self.exchange.outbox.insert(i);
+                    if outcome != EngineAccess::Stall {
+                        self.exchange.outbox.insert(i);
+                    }
                     let proc = &mut P::procs_mut(&mut self.arch)[i];
                     match outcome {
                         EngineAccess::Hit { latency } => {
@@ -1462,8 +1623,16 @@ impl<P: ProtocolNode> SystemEngine<P> {
             // re-indexes each from its live `ready_at()`. Parked entries are
             // discarded unsettled — their accumulated retries belonged to the
             // rolled-back state, and the checkpoint being restored was
-            // settled when it was taken.
-            ti.parked.fill(Cycle::MAX);
+            // settled when it was taken. The work counters are not rolled
+            // back, so they do count the retries the serial kernel polled.
+            for p in &mut ti.parked {
+                if *p != Cycle::MAX {
+                    let skipped = now - *p;
+                    self.probe.processor_polls += skipped;
+                    self.probe.processor_skips = self.probe.processor_skips.saturating_sub(skipped);
+                    *p = Cycle::MAX;
+                }
+            }
             ti.wake.clear();
             let visit = self.resume_at.max(now + 1);
             for i in 0..P::procs(&self.arch).len() {
@@ -1930,6 +2099,37 @@ mod tests {
         assert_eq!(m.normal_frac(), 1.0);
         assert_eq!(m.rollback_frac(), 0.0);
         assert!(sys.mode_timeline().transitions().is_empty());
+    }
+
+    #[test]
+    fn window_link_utilizations_average_to_the_run_utilization() {
+        // The sampler differences the fabric's link-busy counter per window;
+        // over whole windows the mean of the window utilizations is the
+        // run's utilization. The slow 400 MB/s machine fast-forwards part of
+        // its cycles, so the windows straddle bulk-settled spans. (A
+        // recovery would roll the counter back with the fabric, so the run
+        // stays recovery-free.)
+        let window = 5_000;
+        let mut cfg = dir_cfg()
+            .with_telemetry(TelemetryConfig::windowed(window))
+            .with_workers_pinned(1);
+        cfg.memory.link_bandwidth = LinkBandwidth::MB_400;
+        let mut sys = DirectorySystem::new(cfg);
+        let m = sys.run_for(12 * window).expect("no protocol errors");
+        assert_eq!(m.recoveries, 0);
+        let skipped = sys.engine.probe().fast_forward_cycles;
+        assert!(skipped > 1_000, "only {skipped} cycles fast-forwarded");
+        let samples = sys.engine.telemetry().expect("sampler on").samples();
+        assert_eq!(samples.len(), 12);
+        assert!(samples.iter().any(|s| s.link_utilization > 0.0));
+        assert!(samples.iter().all(|s| s.link_utilization < 1.0));
+        let mean = samples.iter().map(|s| s.link_utilization).sum::<f64>() / 12.0;
+        assert!(m.link_utilization > 0.0);
+        assert!(
+            (mean - m.link_utilization).abs() < 1e-12,
+            "windows average to {mean}, the run to {}",
+            m.link_utilization
+        );
     }
 
     #[test]

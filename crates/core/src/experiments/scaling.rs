@@ -249,7 +249,7 @@ pub struct ScalingRow {
     pub ns_per_cycle_parallel: f64,
     /// Engine work counters ([`crate::engine::EngineProbe`]) of the pinned
     /// parallel timing run: processor polls performed, wake-calendar skips,
-    /// and exchange-worklist node visits. Deterministic observability for
+    /// exchange-worklist node visits and fast-forwarded cycles. Deterministic observability for
     /// how much per-cycle work the active-set kernel actually did at this
     /// machine size — the denominator behind the `ns_per_cycle` columns.
     pub probe: crate::engine::EngineProbe,
@@ -386,13 +386,13 @@ impl ScalingData {
         out.push_str(
             "nodes  torus  workload   routing   ops/kcycle        misspec/Mcycle    \
              ns/cyc-serial  ns/cyc-par-tick  ns/cyc-parallel  \
-             polls/kcyc  skips/kcyc  exch-visits/kcyc\n",
+             polls/kcyc  skips/kcyc  exch-visits/kcyc  fast-fwd\n",
         );
         let kcycles = (self.cycles as f64 / 1_000.0).max(f64::MIN_POSITIVE);
         for r in &self.rows {
             out.push_str(&format!(
                 "{:>5}  {:>2}x{:<2}  {:<9}  {:<8}  {:<16}  {:<16}  {:>13.1}  {:>15.1}  {:>15.1}  \
-                 {:>10.1}  {:>10.1}  {:>16.1}\n",
+                 {:>10.1}  {:>10.1}  {:>16.1}  {:>7.1}%\n",
                 r.num_nodes,
                 r.width,
                 r.height,
@@ -407,6 +407,7 @@ impl ScalingData {
                 r.probe.processor_skips as f64 / kcycles,
                 (r.probe.exchange_completion_visits + r.probe.exchange_outbox_visits) as f64
                     / kcycles,
+                r.probe.fast_forward_cycles as f64 / (10.0 * kcycles),
             ));
         }
         out
@@ -434,7 +435,8 @@ impl ScalingData {
                  \"ns_per_cycle_parallel\": {:.2}, \
                  \"processor_polls\": {}, \"processor_skips\": {}, \
                  \"exchange_completion_visits\": {}, \
-                 \"exchange_outbox_visits\": {}}}{comma}\n",
+                 \"exchange_outbox_visits\": {}, \
+                 \"fast_forward_cycles\": {}}}{comma}\n",
                 r.num_nodes,
                 r.width,
                 r.height,
@@ -451,6 +453,7 @@ impl ScalingData {
                 r.probe.processor_skips,
                 r.probe.exchange_completion_visits,
                 r.probe.exchange_outbox_visits,
+                r.probe.fast_forward_cycles,
             ));
         }
         json.push_str("  ]\n}\n");
@@ -555,7 +558,7 @@ mod tests {
         let txt = data.render();
         assert!(txt.contains("4x2") && txt.contains("adaptive"));
         assert!(txt.contains("ns/cyc-par-tick") && txt.contains("ns/cyc-parallel"));
-        assert!(txt.contains("polls/kcyc"));
+        assert!(txt.contains("polls/kcyc") && txt.contains("fast-fwd"));
         let json = data.to_json();
         assert!(json.contains("\"nodes\": 8") && json.contains("\"routing\": \"static\""));
         assert!(json.contains("\"ns_per_cycle\""));
@@ -563,6 +566,7 @@ mod tests {
         assert!(json.contains("\"ns_per_cycle_parallel\""));
         assert!(json.contains("\"processor_polls\""));
         assert!(json.contains("\"exchange_outbox_visits\""));
+        assert!(json.contains("\"fast_forward_cycles\""));
     }
 
     #[test]

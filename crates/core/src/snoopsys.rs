@@ -587,12 +587,39 @@ impl ProtocolNode for SnoopProtocol {
         m.vnet_latency = arch.data_net.stats().latency_hist_per_vnet.clone();
     }
 
+    fn idle_horizon(arch: &ArchState, now: Cycle) -> Cycle {
+        let next = now + 1;
+        let mut due = arch.data_net.next_due(now).unwrap_or(Cycle::MAX);
+        if due <= next {
+            return next;
+        }
+        due = due.min(arch.bus.next_due(now).unwrap_or(Cycle::MAX));
+        if due <= next {
+            return next;
+        }
+        for i in 0..arch.procs.len() {
+            if arch.caches[i].outgoing_len() > 0
+                || arch.memories[i].outgoing_len() > 0
+                || arch.caches[i].has_completed()
+            {
+                return next;
+            }
+            if let Some(ready) = arch.mem_outboxes[i].next_ready() {
+                due = due.min(ready.max(next));
+            }
+        }
+        due
+    }
+
+    fn skip_idle_cycles(arch: &mut ArchState, last: Cycle, cycles: u64) {
+        arch.data_net.skip_idle_ticks(last, cycles);
+    }
+
     fn fabric_counters(arch: &ArchState) -> specsim_base::FabricCounters {
-        let s = arch.data_net.stats();
         specsim_base::FabricCounters {
-            link_busy_cycles: s.link_busy_cycles,
-            num_links: s.num_links as u64,
-            delivered: s.delivered.get(),
+            link_busy_cycles: arch.data_net.link_busy_cycles(),
+            num_links: arch.data_net.stats().num_links as u64,
+            delivered: arch.data_net.stats().delivered.get(),
         }
     }
 }

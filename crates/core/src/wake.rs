@@ -17,6 +17,13 @@
 //! removed at pop. Wake cycles beyond the wheel's horizon (long recoveries,
 //! deep think times) go to an ordered overflow map and are pulled back
 //! on their due cycle, so drain order is exact at any distance.
+//!
+//! The engine does not pop every cycle: it pops nothing during a recovery's
+//! stall window and fast-forwards over idle spans. A pop therefore drains
+//! every entry due since the previous pop, not just the entries due now — a
+//! node whose hint fell inside a skipped span is visited on the first cycle
+//! the engine steps again, which is exactly when the dense scan would next
+//! have observed it doing anything.
 
 use std::collections::BTreeMap;
 
@@ -36,6 +43,9 @@ pub(crate) struct WakeCalendar {
     buckets: Vec<Vec<(Cycle, u32)>>,
     /// Entries scheduled further than the wheel can express.
     overflow: BTreeMap<Cycle, Vec<u32>>,
+    /// The cycle of the previous pop: every entry due at or before it has
+    /// been drained.
+    popped_through: Cycle,
 }
 
 impl WakeCalendar {
@@ -43,6 +53,7 @@ impl WakeCalendar {
         Self {
             buckets: vec![Vec::new(); WAKE_WHEEL_BUCKETS],
             overflow: BTreeMap::new(),
+            popped_through: 0,
         }
     }
 
@@ -57,23 +68,33 @@ impl WakeCalendar {
         }
     }
 
-    /// Pops every node due exactly at `now` into `out` (cleared first), in
-    /// ascending node order with duplicates removed. Entries in the wheel
-    /// bucket due at a later lap stay in place.
+    /// Pops every node due at or before `now` (and after the previous pop)
+    /// into `out` (cleared first), in ascending node order with duplicates
+    /// removed. Entries in a drained bucket that are due at a later lap stay
+    /// in place.
     pub(crate) fn pop_due(&mut self, now: Cycle, out: &mut Vec<u32>) {
         out.clear();
-        let bucket = &mut self.buckets[(now as usize) & (WAKE_WHEEL_BUCKETS - 1)];
-        bucket.retain(|&(due, node)| {
-            if due == now {
-                out.push(node);
-                false
-            } else {
-                true
-            }
-        });
-        if let Some(nodes) = self.overflow.remove(&now) {
-            out.extend(nodes);
+        // One bucket per cycle since the previous pop, at most one lap.
+        let span = now.saturating_sub(self.popped_through).max(1);
+        let first = now + 1 - span.min(WAKE_WHEEL_BUCKETS as Cycle);
+        for cycle in first..=now {
+            let bucket = &mut self.buckets[(cycle as usize) & (WAKE_WHEEL_BUCKETS - 1)];
+            bucket.retain(|&(due, node)| {
+                if due <= now {
+                    out.push(node);
+                    false
+                } else {
+                    true
+                }
+            });
         }
+        while let Some(entry) = self.overflow.first_entry() {
+            if *entry.key() > now {
+                break;
+            }
+            out.extend(entry.remove());
+        }
+        self.popped_through = now;
         out.sort_unstable();
         out.dedup();
     }
@@ -120,6 +141,8 @@ mod tests {
             9,
         );
         let mut out = Vec::new();
+        cal.pop_due(10 + WAKE_WHEEL_BUCKETS as Cycle, &mut out);
+        assert_eq!(out, vec![9]);
         cal.pop_due(far, &mut out);
         assert_eq!(out, vec![2]);
     }
@@ -137,6 +160,27 @@ mod tests {
         assert_eq!(out, vec![1]);
         cal.pop_due(5 + lap, &mut out);
         assert_eq!(out, vec![2]);
+    }
+
+    #[test]
+    fn a_late_pop_drains_every_entry_it_skipped_over() {
+        let mut cal = WakeCalendar::new();
+        let lap = WAKE_WHEEL_BUCKETS as Cycle;
+        cal.schedule(0, 3, 4);
+        cal.schedule(0, 7, 2);
+        cal.schedule(0, 9, 5);
+        cal.schedule(0, 3 * lap, 6);
+        let mut out = Vec::new();
+        cal.pop_due(1, &mut out);
+        assert!(out.is_empty());
+        // Cycles 2..=8 were never popped (a stall window or an idle span).
+        cal.pop_due(8, &mut out);
+        assert_eq!(out, vec![2, 4]);
+        cal.pop_due(9, &mut out);
+        assert_eq!(out, vec![5]);
+        // A jump longer than the wheel still finds the overflow entry.
+        cal.pop_due(4 * lap, &mut out);
+        assert_eq!(out, vec![6]);
     }
 
     #[test]

@@ -115,6 +115,29 @@ impl<P: Clone> OrderedBus<P> {
         self.delivery[node.index()].len()
     }
 
+    /// The earliest cycle after `now` at which the bus has work, or `None`
+    /// when it is empty: `now + 1` while an undelivered snoop waits at some
+    /// node, the next grant slot while a request is pending, and the
+    /// delivery cycle of the oldest in-flight broadcast.
+    #[must_use]
+    pub fn next_due(&self, now: Cycle) -> Option<Cycle> {
+        let next = now + 1;
+        if self.delivery.iter().any(|q| !q.is_empty()) {
+            return Some(next);
+        }
+        let grant = self
+            .pending
+            .iter()
+            .any(|q| !q.is_empty())
+            .then_some(self.next_grant_at);
+        let broadcast = self.in_flight.front().map(|&(at, ..)| at);
+        grant
+            .into_iter()
+            .chain(broadcast)
+            .min()
+            .map(|due| due.max(next))
+    }
+
     /// Advances the bus by one cycle: grants at most one pending request when
     /// the arbitration slot is free, and delivers broadcasts whose latency
     /// has elapsed.
@@ -281,6 +304,26 @@ mod tests {
             order < 4,
             "round robin should grant node 3 quickly, order {order}"
         );
+    }
+
+    #[test]
+    fn next_due_covers_grants_broadcasts_and_undelivered_snoops() {
+        let mut bus: OrderedBus<u32> = OrderedBus::new(2, 10, 5);
+        assert_eq!(bus.next_due(0), None);
+        bus.request(NodeId(1), 7);
+        assert_eq!(bus.next_due(0), Some(1), "grant slot is open");
+        bus.tick(1);
+        // Granted at 1: broadcast lands at 6; no request pending.
+        assert_eq!(bus.next_due(1), Some(6));
+        bus.request(NodeId(0), 8);
+        assert_eq!(bus.next_due(1), Some(6));
+        for now in 2..=6 {
+            bus.tick(now);
+        }
+        assert_eq!(bus.next_due(6), Some(7), "snoops wait to be consumed");
+        while bus.pop_snoop(NodeId(0)).is_some() {}
+        while bus.pop_snoop(NodeId(1)).is_some() {}
+        assert_eq!(bus.next_due(6), Some(11), "next arbitration slot");
     }
 
     #[test]

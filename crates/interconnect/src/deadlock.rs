@@ -44,6 +44,13 @@ impl ProgressWatchdog {
         self.last_progress
     }
 
+    /// First cycle at which [`ProgressWatchdog::is_stalled`] reports a stall
+    /// if nothing moves in the meantime.
+    #[must_use]
+    pub fn stall_onset(&self) -> Cycle {
+        self.last_progress + self.threshold
+    }
+
     /// Returns `true` when messages are present (`in_flight > 0`) but nothing
     /// has moved for at least the threshold.
     #[must_use]
@@ -74,6 +81,7 @@ mod tests {
         assert!(!w.is_stalled(100, 3));
         assert!(!w.is_stalled(149, 3));
         assert!(w.is_stalled(150, 3));
+        assert_eq!(w.stall_onset(), 150);
         // Progress resets the countdown.
         w.record_progress(160);
         assert!(!w.is_stalled(200, 3));

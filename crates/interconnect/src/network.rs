@@ -127,16 +127,25 @@ const MIN_WHEEL_BUCKETS: usize = 1024;
 /// cycle is at least one full wheel lap past `next`, all overflow entries for a
 /// cycle were scheduled before all wheel entries for it — draining
 /// overflow-first preserves exact schedule order.
+///
+/// The calendar also keeps its earliest due cycle exact (`earliest`), so an
+/// idle tick and the engine's quiescence check both read it in O(1). Every
+/// wheel entry lies in `[next, next + lap)`, so each bucket holds at most one
+/// cycle's entries and the rescan after a drained batch walks forward to the
+/// first non-empty bucket; consecutive rescans cover disjoint cycle ranges,
+/// so their total cost is bounded by the simulated span.
 #[derive(Debug, Clone)]
 struct ArrivalCalendar {
     wheel: Vec<Vec<(u32, u8)>>,
     overflow: BTreeMap<Cycle, Vec<(u32, u8)>>,
     /// Lowest cycle not yet drained. Arrivals are always scheduled at or
-    /// after it (`pop_ripe_into` runs first in every tick and re-anchors it
-    /// to `now + 1` when the calendar is empty).
+    /// after it (`pop_ripe_into` runs first in every tick and leaves it at
+    /// `now + 1` once nothing more is ripe).
     next: Cycle,
-    /// Entries currently indexed (wheel + overflow).
-    pending: usize,
+    /// Entries currently in the wheel (the rest are in `overflow`).
+    in_wheel: usize,
+    /// Due cycle of the earliest indexed entry (`Cycle::MAX` when empty).
+    earliest: Cycle,
 }
 
 impl Default for ArrivalCalendar {
@@ -159,7 +168,8 @@ impl ArrivalCalendar {
             wheel: vec![Vec::new(); buckets],
             overflow: BTreeMap::new(),
             next: 0,
-            pending: 0,
+            in_wheel: 0,
+            earliest: Cycle::MAX,
         }
     }
 
@@ -177,10 +187,16 @@ impl ArrivalCalendar {
         if arrival - self.next < self.wheel.len() as Cycle {
             let b = self.bucket_of(arrival);
             self.wheel[b].push(entry);
+            self.in_wheel += 1;
         } else {
             self.overflow.entry(arrival).or_default().push(entry);
         }
-        self.pending += 1;
+        self.earliest = self.earliest.min(arrival);
+    }
+
+    /// Due cycle of the earliest pending arrival (`Cycle::MAX` when none).
+    fn next_due(&self) -> Cycle {
+        self.earliest
     }
 
     /// Fills `out` with the earliest batch due at or before `now` (replacing
@@ -189,30 +205,50 @@ impl ArrivalCalendar {
     /// schedule order.
     fn pop_ripe_into(&mut self, now: Cycle, out: &mut Vec<(u32, u8)>) -> bool {
         out.clear();
-        if self.pending == 0 {
-            // Re-anchor the cursor so the wheel horizon always starts at the
-            // present when traffic resumes.
+        if self.earliest > now {
+            // Nothing ripe: the cursor catches up with the present, so the
+            // wheel horizon always starts there when traffic resumes.
             self.next = now + 1;
             return false;
         }
-        while self.next <= now {
-            let cycle = self.next;
-            if let Some((&c, _)) = self.overflow.first_key_value() {
-                if c == cycle {
-                    let far = self.overflow.remove(&c).expect("key just observed");
-                    out.extend_from_slice(&far);
-                }
-            }
-            // `append` empties the bucket while keeping its allocation.
-            let b = self.bucket_of(cycle);
-            out.append(&mut self.wheel[b]);
-            self.next += 1;
-            if !out.is_empty() {
-                self.pending -= out.len();
-                return true;
+        let cycle = self.earliest;
+        if let Some(far) = self.overflow.remove(&cycle) {
+            out.extend_from_slice(&far);
+        }
+        // `append` empties the bucket while keeping its allocation.
+        let b = self.bucket_of(cycle);
+        self.in_wheel -= self.wheel[b].len();
+        out.append(&mut self.wheel[b]);
+        self.next = cycle + 1;
+        self.rescan_earliest();
+        true
+    }
+
+    /// Recomputes `earliest` after a batch was drained (see the type docs
+    /// for why the forward walk is bounded).
+    fn rescan_earliest(&mut self) {
+        let far = self
+            .overflow
+            .first_key_value()
+            .map_or(Cycle::MAX, |(&c, _)| c);
+        self.earliest = far;
+        if self.in_wheel == 0 {
+            return;
+        }
+        let end = far.min(self.next + self.wheel.len() as Cycle);
+        for cycle in self.next..end {
+            if !self.wheel[self.bucket_of(cycle)].is_empty() {
+                self.earliest = cycle;
+                return;
             }
         }
-        false
+    }
+
+    /// Settles idle drains through cycle `last` (nothing is due by then):
+    /// the cursor ends where `last`'s drain would have left it.
+    fn skip_through(&mut self, last: Cycle) {
+        debug_assert!(self.earliest > last, "skipped a ripe arrival");
+        self.next = last + 1;
     }
 
     fn clear(&mut self) {
@@ -220,7 +256,8 @@ impl ArrivalCalendar {
             bucket.clear();
         }
         self.overflow.clear();
-        self.pending = 0;
+        self.in_wheel = 0;
+        self.earliest = Cycle::MAX;
     }
 }
 
@@ -848,15 +885,58 @@ impl<P> Network<P> {
         &self.ordering
     }
 
+    /// Busy cycles summed over every unidirectional link so far (the
+    /// numerator of [`Network::mean_link_utilization`]; the telemetry
+    /// sampler differences it per window).
+    #[must_use]
+    pub fn link_busy_cycles(&self) -> u64 {
+        self.slab.util.iter().map(|u| u.busy_cycles()).sum()
+    }
+
     /// Mean utilization across every unidirectional link over `[0, now]`.
     #[must_use]
     pub fn mean_link_utilization(&self, now: Cycle) -> f64 {
         if now == 0 {
             return 0.0;
         }
-        let busy: u64 = self.slab.util.iter().map(|u| u.busy_cycles()).sum();
-        let links = (4 * self.num_nodes()) as f64;
-        (busy as f64 / (links * now as f64)).clamp(0.0, 1.0)
+        let links = self.stats.num_links as f64;
+        (self.link_busy_cycles() as f64 / (links * now as f64)).clamp(0.0, 1.0)
+    }
+
+    /// The earliest cycle after `now` at which a tick of this network can
+    /// move a packet or change what it reports, or `None` when nothing is
+    /// scheduled at all. `now + 1` while a switch holds queued packets or an
+    /// endpoint has packets to eject; otherwise the next link arrival. On a
+    /// pooled fabric the per-cycle deadlock evidence
+    /// ([`Network::has_exhausted_pool`], [`Network::is_stalled`]) is part of
+    /// what a tick reports, so an exhausted pool is due every cycle and the
+    /// watchdog's stall onset is due too. O(1).
+    #[must_use]
+    pub fn next_due(&self, now: Cycle) -> Option<Cycle> {
+        let next = now + 1;
+        if !self.active.is_empty() || !self.eject_active.is_empty() {
+            return Some(next);
+        }
+        let mut due = self.arrivals.next_due();
+        if self.pools.is_some() {
+            if self.has_exhausted_pool() {
+                return Some(next);
+            }
+            if self.in_flight > 0 {
+                due = due.min(self.watchdog.stall_onset());
+            }
+        }
+        (due != Cycle::MAX).then(|| due.max(next))
+    }
+
+    /// Settles `ticks` consecutive ticks ending at cycle `last` in O(1). The
+    /// caller guarantees, via [`Network::next_due`], that none of them is
+    /// due: each would only have advanced the port round-robin and the
+    /// arrival calendar's cursor, which is all this does.
+    pub fn skip_idle_ticks(&mut self, last: Cycle, ticks: u64) {
+        debug_assert!(self.active.is_empty(), "skipped a busy forward phase");
+        self.forward_rounds += ticks;
+        self.arrivals.skip_through(last);
     }
 
     /// True when the fabric holds messages but none has moved for the

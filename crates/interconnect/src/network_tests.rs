@@ -1100,3 +1100,127 @@ fn mean_link_utilization_is_nonzero_under_traffic_and_bounded() {
     let u = net.mean_link_utilization(now);
     assert!(u > 0.0 && u <= 1.0, "utilization {u}");
 }
+
+#[test]
+fn link_busy_cycles_normalise_to_mean_link_utilization() {
+    let mut net: Net = Network::new(NetConfig::conventional(16, LinkBandwidth::MB_400));
+    assert_eq!(net.link_busy_cycles(), 0);
+    assert_eq!(net.mean_link_utilization(0), 0.0);
+    let mut now = 0;
+    for src in 0..16 {
+        now += 1;
+        let _ = net.inject(
+            now,
+            NodeId::from(src),
+            NodeId::from((src + 5) % 16),
+            VirtualNetwork::Response,
+            MessageSize::Data,
+            0,
+        );
+        net.tick(now);
+    }
+    let busy = net.link_busy_cycles();
+    assert!(busy > 0);
+    // 16 switches × 4 unidirectional links.
+    let expected = busy as f64 / (64.0 * now as f64);
+    assert!((net.mean_link_utilization(now) - expected.min(1.0)).abs() < 1e-12);
+}
+
+/// Drives `net` through `cycles` cycles of sparse bursts (a few packets
+/// every ~300 cycles), either ticking every cycle or jumping over every span
+/// [`Network::next_due`] declares idle. Returns the delivery log and the
+/// number of ticks skipped.
+fn sparse_bursts(mut net: Net, cycles: Cycle, skip: bool) -> (Vec<String>, u64, Net) {
+    let mut rng = DetRng::new(41);
+    let bursts: Vec<Cycle> = (1..cycles / 300)
+        .map(|k| k * 300 + rng.next_below(50))
+        .collect();
+    let mut log = Vec::new();
+    let mut skipped = 0;
+    let mut now: Cycle = 0;
+    let mut burst = bursts.iter().copied().peekable();
+    let mut seq = 0u64;
+    while now < cycles {
+        let next_burst = burst.peek().copied().unwrap_or(cycles + 1);
+        if skip {
+            let due = net.next_due(now).unwrap_or(Cycle::MAX).min(next_burst);
+            if due > now + 1 {
+                let last = (due - 1).min(cycles);
+                net.skip_idle_ticks(last, last - now);
+                skipped += last - now;
+                now = last;
+                continue;
+            }
+        }
+        now += 1;
+        if burst.next_if_eq(&now).is_some() {
+            for _ in 0..4 {
+                let src = NodeId::from(rng.next_below(16) as usize);
+                let dst = NodeId::from(rng.next_below(16) as usize);
+                if net.can_inject(src, VirtualNetwork::Request) {
+                    net.inject(
+                        now,
+                        src,
+                        dst,
+                        VirtualNetwork::Request,
+                        MessageSize::Control,
+                        seq,
+                    )
+                    .expect("space checked");
+                    seq += 1;
+                }
+            }
+        }
+        net.tick(now);
+        for i in 0..16 {
+            while let Some(p) = net.eject_any(NodeId::from(i)) {
+                log.push(format!("{now}:{}->{}#{}", p.src, p.dst, p.payload));
+            }
+        }
+    }
+    (log, skipped, net)
+}
+
+#[test]
+fn skipping_idle_ticks_matches_ticking_them() {
+    let cfg = NetConfig::conventional(16, LinkBandwidth::MB_400);
+    let (dense_log, none, dense) = sparse_bursts(Network::new(cfg.clone()), 6_000, false);
+    let (sparse_log, skipped, sparse) = sparse_bursts(Network::new(cfg), 6_000, true);
+    assert_eq!(none, 0);
+    assert!(skipped > 2_000, "only {skipped} idle ticks skipped");
+    assert!(dense_log.len() > 50);
+    assert_eq!(dense_log, sparse_log, "delivery schedule diverged");
+    assert_eq!(
+        format!("{:?}", dense.stats()),
+        format!("{:?}", sparse.stats())
+    );
+    assert_eq!(dense.forward_probe(), sparse.forward_probe());
+    assert_eq!(dense.link_busy_cycles(), sparse.link_busy_cycles());
+    assert_eq!(dense.forward_rounds, sparse.forward_rounds);
+    assert_eq!(dense.arrivals.next, sparse.arrivals.next);
+}
+
+#[test]
+fn next_due_reports_the_next_arrival_and_nothing_when_empty() {
+    let mut net: Net = Network::new(NetConfig::conventional(16, LinkBandwidth::MB_400));
+    assert_eq!(net.next_due(0), None);
+    net.inject(
+        1,
+        NodeId(0),
+        NodeId(1),
+        VirtualNetwork::Response,
+        MessageSize::Data,
+        0,
+    )
+    .expect("empty network");
+    assert_eq!(net.next_due(0), Some(1), "a queued packet is due now");
+    net.tick(1);
+    // The packet is on the link: the next due cycle is its arrival.
+    let due = net.next_due(1).expect("a packet is in transit");
+    assert!(due > 2, "arrival {due} should be a serialization away");
+    for now in 2..due {
+        assert_eq!(net.next_due(now), Some(due));
+        net.tick(now);
+        assert!(net.eject_any(NodeId(1)).is_none());
+    }
+}

@@ -1,6 +1,6 @@
 //! Network statistics.
 
-use specsim_base::{Counter, Cycle, Histogram, Log2Histogram};
+use specsim_base::{Counter, Histogram, Log2Histogram};
 
 use crate::packet::VirtualNetwork;
 
@@ -27,12 +27,8 @@ pub struct NetStats {
     pub latency: Histogram,
     /// Injection attempts rejected because the injection queue was full.
     pub injection_rejects: Counter,
-    /// Total busy cycles summed over every unidirectional link.
-    pub link_busy_cycles: u64,
     /// Number of unidirectional links in the network.
     pub num_links: usize,
-    /// Cycle at which statistics collection started (for utilization).
-    pub window_start: Cycle,
 }
 
 impl NetStats {
@@ -49,9 +45,7 @@ impl NetStats {
             hops: Counter::new(),
             latency: Histogram::new(50, 200),
             injection_rejects: Counter::new(),
-            link_busy_cycles: 0,
             num_links,
-            window_start: 0,
         }
     }
 
@@ -77,16 +71,6 @@ impl NetStats {
         }
     }
 
-    /// Mean utilization across all links over `[window_start, now]`.
-    #[must_use]
-    pub fn mean_link_utilization(&self, now: Cycle) -> f64 {
-        if now <= self.window_start || self.num_links == 0 {
-            return 0.0;
-        }
-        let window = (now - self.window_start) as f64;
-        (self.link_busy_cycles as f64 / (window * self.num_links as f64)).clamp(0.0, 1.0)
-    }
-
     /// Mean end-to-end message latency in cycles.
     #[must_use]
     pub fn mean_latency(&self) -> f64 {
@@ -103,15 +87,6 @@ impl NetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn utilization_is_normalised_by_links_and_window() {
-        let mut s = NetStats::new(4);
-        s.link_busy_cycles = 200;
-        // 4 links over 100 cycles = 400 link-cycles; 200 busy = 50%.
-        assert!((s.mean_link_utilization(100) - 0.5).abs() < 1e-12);
-        assert_eq!(s.mean_link_utilization(0), 0.0);
-    }
 
     #[test]
     fn delivery_records_latency_and_class() {

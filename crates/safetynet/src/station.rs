@@ -124,6 +124,26 @@ impl<S: Clone> SafetyNet<S> {
         }
     }
 
+    /// The earliest cycle after `now` at which the cycle-clock schedule
+    /// needs attention: the next interval-based checkpoint (only while one
+    /// may be taken — a deferred checkpoint is taken on the commit that
+    /// frees its slot) or the next validation commit in
+    /// [`SafetyNet::advance`]. Protocols with another checkpoint time base
+    /// (the snooping system's request count) see at worst an extra wake.
+    #[must_use]
+    pub fn next_due(&self, now: Cycle) -> Cycle {
+        let checkpoint = if self.can_checkpoint() {
+            self.last_checkpoint_at
+                .saturating_add(self.cfg.checkpoint_interval_cycles)
+        } else {
+            Cycle::MAX
+        };
+        let commit = self.checkpoints.get(1).map_or(Cycle::MAX, |c| {
+            c.at.saturating_add(self.cfg.transaction_timeout_cycles())
+        });
+        checkpoint.min(commit).max(now + 1)
+    }
+
     /// Commits (validates) checkpoints that are older than the detection
     /// window — the transaction timeout (Section 4, footnote 4: "SafetyNet
     /// cannot commit an old checkpoint until it is sure that execution prior
@@ -247,6 +267,24 @@ mod tests {
         assert!(s.should_checkpoint(2_000));
         assert_eq!(s.outstanding(), 2);
         assert_eq!(s.stats().checkpoints_taken, 1);
+    }
+
+    #[test]
+    fn next_due_tracks_the_checkpoint_and_the_next_commit() {
+        let mut s = station();
+        assert_eq!(s.next_due(0), 1_000);
+        assert_eq!(s.next_due(1_500), 1_501, "an overdue checkpoint is due now");
+        s.take_checkpoint(1_000, vec![1]);
+        // Next checkpoint at 2000; the commit of checkpoint 0 waits for the
+        // checkpoint taken at 1000 to age past the 3000-cycle window.
+        assert_eq!(s.next_due(1_000), 2_000);
+        while s.can_checkpoint() {
+            let at = s.last_checkpoint_at() + 1_000;
+            s.take_checkpoint(at, vec![]);
+        }
+        // Full: only the commit that frees a slot is due.
+        assert_eq!(s.last_checkpoint_at(), 4_000);
+        assert_eq!(s.next_due(3_500), 1_000 + 3_000);
     }
 
     #[test]

@@ -339,6 +339,26 @@ impl FaultDirector {
             .retain(|&idx| now < self.plan.events[idx].at + self.plan.events[idx].param);
     }
 
+    /// The earliest cycle after `now` at which [`FaultDirector::advance`]
+    /// changes anything: the next plan event maturing, or an open window
+    /// closing. `None` when the plan is exhausted and no window is open.
+    /// Armed message faults are not due on their own — they fire on a link
+    /// transmit, which only happens on a cycle something else made busy.
+    #[must_use]
+    pub fn next_due(&self, now: Cycle) -> Option<Cycle> {
+        let next_event = self.plan.events.get(self.cursor).map(|ev| ev.at);
+        let next_close = self
+            .windows
+            .iter()
+            .map(|&idx| self.plan.events[idx].at + self.plan.events[idx].param)
+            .min();
+        next_event
+            .into_iter()
+            .chain(next_close)
+            .min()
+            .map(|due| due.max(now + 1))
+    }
+
     /// Consumes and returns the first armed message fault matching a
     /// transmit on link `(node, dir)` carrying virtual network `vnet`, if
     /// any. At most one fault fires per call; further matured events fire on
@@ -521,9 +541,11 @@ mod tests {
             param: 500,
         };
         let mut d = FaultDirector::new(FaultPlan::single(ev));
+        assert_eq!(d.next_due(0), Some(1_000), "the window opening is due");
         d.advance(999);
         assert!(!d.switch_stalled(5));
         d.advance(1_000);
+        assert_eq!(d.next_due(1_000), Some(1_500), "the window closing is due");
         assert!(d.switch_stalled(5), "blackout also stalls");
         assert!(d.switch_blacked_out(5));
         assert!(!d.switch_blacked_out(4));
@@ -531,6 +553,7 @@ mod tests {
         d.advance(1_499);
         assert!(d.switch_blacked_out(5));
         d.advance(1_500);
+        assert_eq!(d.next_due(1_500), None, "nothing left to do");
         assert!(!d.switch_blacked_out(5), "window closed");
         assert_eq!(d.fires(), 1, "a window fires once, at opening");
     }

@@ -266,15 +266,26 @@ impl ModeTimeline {
     /// Accounts cycle `now` to `mode`, recording a transition if the mode
     /// changed. Called exactly once per simulated cycle.
     pub fn observe(&mut self, now: Cycle, mode: EngineMode) {
+        self.observe_span(now, 1, mode);
+    }
+
+    /// Accounts the `cycles` consecutive cycles starting at `first` to
+    /// `mode` — exactly what `cycles` calls of [`ModeTimeline::observe`]
+    /// would record. The engine uses this to settle a fast-forwarded span
+    /// of idle cycles in one step.
+    pub fn observe_span(&mut self, first: Cycle, cycles: u64, mode: EngineMode) {
+        if cycles == 0 {
+            return;
+        }
         if mode != self.current {
             self.transitions.push(ModeTransition {
-                at: now,
+                at: first,
                 from: self.current,
                 to: mode,
             });
             self.current = mode;
         }
-        self.cycles_in[mode.index()] += 1;
+        self.cycles_in[mode.index()] += cycles;
     }
 
     /// The mode most recently observed.
@@ -549,6 +560,13 @@ impl TelemetryRecorder {
         self.cfg.window_cycles > 0 && now >= self.next_window
     }
 
+    /// The next window boundary the sampler will close, or `None` when the
+    /// sampler is off (an event-trace-only recorder has no boundaries).
+    #[must_use]
+    pub fn next_window(&self) -> Option<Cycle> {
+        (self.cfg.window_cycles > 0).then_some(self.next_window)
+    }
+
     /// Closes the window ending at `now` from the cumulative counter
     /// snapshot `c` (differenced against the previous boundary).
     pub fn sample_window(&mut self, now: Cycle, mode: EngineMode, c: WindowCounters) {
@@ -815,9 +833,28 @@ mod tests {
     }
 
     #[test]
+    fn observe_span_matches_per_cycle_observation() {
+        let mut per_cycle = ModeTimeline::new();
+        let mut spans = ModeTimeline::new();
+        for now in 1..=4u64 {
+            per_cycle.observe(now, EngineMode::Normal);
+        }
+        for now in 5..=9u64 {
+            per_cycle.observe(now, EngineMode::SlowStart);
+        }
+        per_cycle.observe(10, EngineMode::SlowStart);
+        spans.observe_span(1, 4, EngineMode::Normal);
+        spans.observe_span(5, 5, EngineMode::SlowStart);
+        spans.observe_span(10, 0, EngineMode::Rollback);
+        spans.observe_span(10, 1, EngineMode::SlowStart);
+        assert_eq!(per_cycle, spans);
+    }
+
+    #[test]
     fn window_sampler_differences_cumulative_counters() {
         let cfg = TelemetryConfig::windowed(100);
         let mut r = TelemetryRecorder::new(cfg).expect("enabled");
+        assert_eq!(r.next_window(), Some(100));
         assert!(!r.window_due(99));
         assert!(r.window_due(100));
         r.sample_window(
@@ -856,6 +893,12 @@ mod tests {
     #[test]
     fn disabled_config_builds_no_recorder() {
         assert!(TelemetryRecorder::new(TelemetryConfig::default()).is_none());
+        let trace_only = TelemetryConfig {
+            window_cycles: 0,
+            trace_events: true,
+        };
+        let r = TelemetryRecorder::new(trace_only).expect("event trace on");
+        assert_eq!(r.next_window(), None);
         assert!(!TelemetryConfig::default().enabled());
     }
 

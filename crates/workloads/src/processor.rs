@@ -229,6 +229,15 @@ impl Processor {
         }
     }
 
+    /// True while the processor re-presents a request its cache controller
+    /// has not accepted yet (a structural stall, or a slow-start hold).
+    /// Polling such a processor changes nothing; only the controller's
+    /// answer can move it on.
+    #[must_use]
+    pub fn is_presenting(&self) -> bool {
+        matches!(self.phase, Phase::Ready { .. })
+    }
+
     /// Returns the request the processor wants to present to its cache
     /// controller this cycle, if any.
     #[must_use]
@@ -495,8 +504,11 @@ mod tests {
     fn stall_keeps_the_request_pending() {
         let mut p = proc();
         let mut now = 0;
+        assert!(!p.is_presenting(), "thinking before the first request");
         let first = next_req(&mut p, &mut now);
+        assert!(p.is_presenting());
         p.note_stall();
+        assert!(p.is_presenting(), "a stalled request stays presented");
         let again = p
             .poll(now + 1)
             .expect("request must be re-presented after a stall");

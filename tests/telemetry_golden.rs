@@ -83,8 +83,11 @@ fn snoop_outputs(workers: usize) -> (String, String) {
     )
 }
 
-/// Captured from the serial reference kernel; see the module doc.
-const GOLDEN_DIR_JSONL_DIGEST: u64 = 2_699_253_261_894_583_325;
+/// Captured from the serial reference kernel; see the module doc. The
+/// JSONL digest was re-pinned when the windowed `link_utilization` column
+/// started reading the fabric's link-busy counters (it had read a counter
+/// with no writer, so every window said 0); no other column moved.
+const GOLDEN_DIR_JSONL_DIGEST: u64 = 761_327_462_988_274_008;
 const GOLDEN_DIR_TRACE_DIGEST: u64 = 1_953_312_100_789_147_611;
 
 #[test]

@@ -386,7 +386,9 @@ impl ProtocolNode for DirProtocol {
         arch.caches[i].outstanding_since()
     }
 
-    fn after_recovery_restore(&mut self, _arch: &mut ArchState) {}
+    fn after_recovery_restore(&mut self, rolled_back: &ArchState, arch: &mut ArchState) {
+        arch.net.carry_forward_probe(&rolled_back.net);
+    }
 
     fn misspec_forward_progress(
         &mut self,

@@ -607,7 +607,10 @@ pub trait ProtocolNode {
 
     /// Called after a SafetyNet rollback restored `arch` (re-anchor any
     /// protocol-side bookkeeping derived from the architectural state).
-    fn after_recovery_restore(&mut self, arch: &mut Self::Arch);
+    /// `rolled_back` is the live state the rollback replaced: execution
+    /// counters that are not simulation state (the fabric's forward probe)
+    /// carry over from it, so they never rewind.
+    fn after_recovery_restore(&mut self, rolled_back: &Self::Arch, arch: &mut Self::Arch);
 
     /// The forward-progress measure for a recovery caused by `kind`
     /// (Section 2, feature 4). Returns [`ForwardProgressMode::Normal`] when
@@ -1592,14 +1595,15 @@ impl<P: ProtocolNode> SystemEngine<P> {
 
     fn perform_recovery(&mut self, now: Cycle, cause: RecoveryCause) {
         let (state, outcome) = self.safetynet.recover(now);
-        self.arch = state;
+        let rolled_back = std::mem::replace(&mut self.arch, state);
         // Processors resume from their register checkpoints at the restored
         // workload position.
         for proc in P::procs_mut(&mut self.arch) {
             let snap = proc.snapshot();
             proc.restore(now + outcome.recovery_latency_cycles, snap);
         }
-        self.protocol.after_recovery_restore(&mut self.arch);
+        self.protocol
+            .after_recovery_restore(&rolled_back, &mut self.arch);
         self.metrics.lost_work_cycles += outcome.lost_work_cycles;
         self.metrics.recovery_latency_cycles += outcome.recovery_latency_cycles;
         self.resume_at = now + outcome.recovery_latency_cycles;

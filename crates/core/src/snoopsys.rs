@@ -524,7 +524,8 @@ impl ProtocolNode for SnoopProtocol {
         arch.caches[i].outstanding_since()
     }
 
-    fn after_recovery_restore(&mut self, arch: &mut ArchState) {
+    fn after_recovery_restore(&mut self, rolled_back: &ArchState, arch: &mut ArchState) {
+        arch.data_net.carry_forward_probe(&rolled_back.data_net);
         self.requests_at_last_checkpoint = arch.bus.granted();
     }
 

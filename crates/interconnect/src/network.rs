@@ -19,6 +19,17 @@
 //!   FIFO with non-decreasing due cycles, and arrivals on different links
 //!   land in different buffers, so delivery state is independent of the
 //!   order the calendar drains a cycle's batch in.
+//! * **Switch sleep.** A switch whose visit moves nothing, and whose every
+//!   queued head waited only on a busy output link, leaves the worklist and
+//!   sleeps until the earliest of those links frees. Only the switch's own
+//!   moves set its links' `busy_until`, and a visit that moves nothing
+//!   mutates nothing, so no visit before that cycle could move a packet
+//!   unless a new one reaches the switch: a link arrival or an injection
+//!   wakes it at once, and otherwise a wake entry in the arrival calendar
+//!   puts it back on the worklist before the forward phase of its wake
+//!   cycle. The calendar is thus the single due-cycle index of the fabric,
+//!   and [`Network::next_due`] reads a network whose only queued packets sit
+//!   behind serializing links as idle until the first link frees.
 //!
 //! # Struct-of-arrays layout
 //!
@@ -41,9 +52,10 @@
 //! disjoint rows (a hop writes only the sending switch, plus the credit
 //! column of the one downstream port that faces it). Workers execute the
 //! DAG as a wavefront; schedule-order effects (ordering tracker, stats,
-//! arrival calendar, worklist removals) are staged per switch and merged in
-//! exact serial visit order afterwards, so the schedule — and every golden
-//! digest — is byte-identical to the serial path.
+//! arrival calendar, worklist removals, switch sleep) are staged per switch
+//! and merged in exact serial visit order afterwards, so the schedule, the
+//! sleeping switches and every golden digest are byte-identical to the
+//! serial path.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering as AtomicOrdering};
@@ -103,6 +115,40 @@ enum MoveAction {
     },
 }
 
+/// Why the heads of a switch visit stayed put. The planning pass records,
+/// for every head it fails to move, whether it waited only on busy output
+/// links (and when the earliest of them frees) or on anything else:
+/// downstream buffer space, pool slots or ejection space.
+#[derive(Debug, Clone, Copy)]
+struct Blockage {
+    /// Earliest `busy_until` over the busy output links tried
+    /// (`Cycle::MAX` when none was tried).
+    link_free_at: Cycle,
+    /// Whether some head failed on something other than a busy link.
+    other: bool,
+}
+
+impl Blockage {
+    const NONE: Self = Self {
+        link_free_at: Cycle::MAX,
+        other: false,
+    };
+
+    fn busy_link(&mut self, busy_until: Cycle) {
+        self.link_free_at = self.link_free_at.min(busy_until);
+    }
+
+    /// The cycle a switch whose visit moved nothing may sleep until: `Some`
+    /// only when every head it tried waited on a busy output link.
+    fn wake_cycle(self) -> Option<Cycle> {
+        (!self.other && self.link_free_at != Cycle::MAX).then_some(self.link_free_at)
+    }
+}
+
+/// Direction byte of an [`ArrivalCalendar`] entry that wakes a sleeping
+/// switch instead of delivering a link arrival.
+const WAKE: u8 = u8::MAX;
+
 /// Minimum number of buckets in an [`ArrivalCalendar`]'s timing wheel
 /// (always a power of two). Each calendar is sized at construction from the network's
 /// own scheduling horizon (data-message serialization plus switch pipeline
@@ -111,10 +157,14 @@ enum MoveAction {
 /// floor. Rarer horizons (fault-injected delays) still spill into overflow.
 const MIN_WHEEL_BUCKETS: usize = 1024;
 
-/// Due-cycle index over every in-transit link arrival: the entries for cycle
-/// `c` list the `(switch, link direction)` pairs whose front in-transit
-/// entry arrives at `c`. `deliver_phase` pops only ripe batches instead of
-/// polling all `4 × num_nodes` links every cycle.
+/// Due-cycle index over every in-transit link arrival and every sleeping
+/// switch's wake-up: the entries for cycle `c` list the `(switch, link
+/// direction)` pairs whose front in-transit entry arrives at `c`, and the
+/// `(switch, WAKE)` pairs of switches due to wake at `c`. `deliver_phase`
+/// pops only ripe batches instead of polling all `4 × num_nodes` links every
+/// cycle. A wake entry is a hint: the switch may have been woken (and put to
+/// sleep again) since, so `deliver_phase` re-validates it against the
+/// switch's current wake cycle.
 ///
 /// The index is a **ring-buffer timing wheel**: cycle `c` lives in bucket
 /// `c % buckets`, and buckets are drained in place
@@ -265,7 +315,11 @@ impl ArrivalCalendar {
 /// lifetime. These never feed back into the schedule (they are not part of
 /// [`NetStats`]), so serial and parallel runs of the same workload report
 /// identical simulation digests while this probe records how the work was
-/// executed.
+/// executed. Sleeping switches are not visited, so `switch_visits` counts
+/// only visits to switches that could move a packet or had not yet shown
+/// that they could not. The counters are execution state, not simulation
+/// state: a system that restores a checkpointed network carries the live
+/// probe across ([`Network::carry_forward_probe`]), so it never decreases.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ForwardProbe {
     /// Switches visited by the forward phase (serial or parallel).
@@ -300,6 +354,9 @@ struct TaskEffects {
     progress: bool,
     /// Whether the switch drained to zero queued packets.
     deactivate: bool,
+    /// Cycle the switch sleeps until, when its visit moved nothing and
+    /// every head waited on a busy output link.
+    sleep: Option<Cycle>,
 }
 
 /// Reusable buffers for the parallel forward phase (visit-order snapshot,
@@ -410,9 +467,13 @@ pub struct Network<P> {
     /// Number of endpoint pools at full occupancy (split budgets only).
     full_endpoint_pools: usize,
     in_flight: usize,
-    /// Worklist of switches holding at least one queued packet.
+    /// Worklist of awake switches holding at least one queued packet.
     active: ActiveSet,
-    /// Due-cycle index over in-transit link arrivals.
+    /// Per switch, the cycle it sleeps until (`Cycle::MAX` = awake). A
+    /// switch holding queued packets is either on `active` or sleeping,
+    /// never both (see the module docs).
+    wake_at: Vec<Cycle>,
+    /// Due-cycle index over in-transit link arrivals and sleeper wake-ups.
     arrivals: ArrivalCalendar,
     /// Reusable batch buffer for draining the calendar (the wheel's buckets
     /// and this scratch space together make steady-state delivery
@@ -490,6 +551,7 @@ impl<P> Network<P> {
             full_endpoint_pools: 0,
             in_flight: 0,
             active: ActiveSet::new(cfg.num_nodes),
+            wake_at: vec![Cycle::MAX; cfg.num_nodes],
             // The longest common scheduling distance is a data message's
             // serialization plus the switch pipeline; sizing the wheel to
             // cover it keeps steady-state traffic out of the overflow map
@@ -527,8 +589,17 @@ impl<P> Network<P> {
 
     /// Changes the routing policy at runtime. This is the forward-progress
     /// knob of Section 3.1: after a recovery the system "selectively
-    /// disable\[s\] adaptive routing during re-execution".
+    /// disable\[s\] adaptive routing during re-execution". A change wakes
+    /// every sleeping switch: the new policy may route its heads over links
+    /// it did not try.
     pub fn set_routing(&mut self, routing: RoutingPolicy) {
+        if routing != self.routing {
+            for i in 0..self.wake_at.len() {
+                if self.wake_at[i] != Cycle::MAX {
+                    self.wake(i);
+                }
+            }
+        }
         self.routing = routing;
     }
 
@@ -713,7 +784,7 @@ impl<P> Network<P> {
         self.slab.queued[SwitchSlab::port(i, Direction::Local.index())] += 1;
         self.slab.queued_total[i] += 1;
         self.pool_acquire(i, vnet);
-        self.active.insert(i);
+        self.wake(i);
         self.stats.injected.incr();
         self.in_flight += 1;
         Ok(())
@@ -778,6 +849,14 @@ impl<P> Network<P> {
     #[must_use]
     pub fn forward_probe(&self) -> ForwardProbe {
         self.forward_probe
+    }
+
+    /// Takes over `live`'s forward-phase counters. A system that restores
+    /// this network from a checkpoint calls it with the network being
+    /// rolled back, so the probe keeps counting the work actually done
+    /// instead of rewinding with the simulated state.
+    pub fn carry_forward_probe(&mut self, live: &Self) {
+        self.forward_probe = live.forward_probe;
     }
 
     /// Messages currently inside the network fabric (injected but not yet
@@ -905,8 +984,9 @@ impl<P> Network<P> {
 
     /// The earliest cycle after `now` at which a tick of this network can
     /// move a packet or change what it reports, or `None` when nothing is
-    /// scheduled at all. `now + 1` while a switch holds queued packets or an
-    /// endpoint has packets to eject; otherwise the next link arrival. On a
+    /// scheduled at all. `now + 1` while an awake switch holds queued packets
+    /// or an endpoint has packets to eject; otherwise the next link arrival
+    /// or sleeping-switch wake-up, whichever comes first. On a
     /// pooled fabric the per-cycle deadlock evidence
     /// ([`Network::has_exhausted_pool`], [`Network::is_stalled`]) is part of
     /// what a tick reports, so an exhausted pool is due every cycle and the
@@ -991,6 +1071,7 @@ impl<P> Network<P> {
         self.full_endpoint_pools = 0;
         self.in_flight = 0;
         self.active.clear();
+        self.wake_at.fill(Cycle::MAX);
         self.arrivals.clear();
         self.watchdog.reset(now);
         dropped
@@ -1001,6 +1082,12 @@ impl<P> Network<P> {
         while self.arrivals.pop_ripe_into(now, &mut batch) {
             for &(si, di) in &batch {
                 let i = si as usize;
+                if di == WAKE {
+                    if self.wake_at[i] <= now {
+                        self.wake(i);
+                    }
+                    continue;
+                }
                 let d = LINK_DIRECTIONS[di as usize];
                 let InTransit {
                     arrival,
@@ -1026,11 +1113,56 @@ impl<P> Network<P> {
                 self.slab.accept_reserved(ts, id);
                 self.slab.queued[SwitchSlab::port(j, d.opposite().index())] += 1;
                 self.slab.queued_total[j] += 1;
-                self.active.insert(j);
+                self.wake(j);
                 self.watchdog.record_progress(now);
             }
         }
         self.arrival_scratch = batch;
+    }
+
+    /// Puts switch `i` (holding queued packets) on the worklist, ending any
+    /// sleep. Its pending wake entry, if any, goes stale.
+    fn wake(&mut self, i: usize) {
+        self.wake_at[i] = Cycle::MAX;
+        self.active.insert(i);
+    }
+
+    /// Takes switch `i` off the worklist until cycle `until`, when a wake
+    /// entry in the arrival calendar returns it.
+    fn sleep(&mut self, i: usize, until: Cycle) {
+        self.active.remove(i);
+        self.wake_at[i] = until;
+        self.arrivals.schedule(until, i, WAKE as usize);
+    }
+
+    /// Exactness oracle for switch sleep (debug builds): re-plans every
+    /// sleeping switch read-only and panics if one could move a packet at
+    /// `now` or should already have woken.
+    #[cfg(debug_assertions)]
+    fn assert_sleepers_blocked(&self, now: Cycle) {
+        for (i, &until) in self.wake_at.iter().enumerate() {
+            if until == Cycle::MAX {
+                continue;
+            }
+            assert!(
+                until > now,
+                "switch {i} still asleep at {now}, due at {until}"
+            );
+            let c = if self.routing == RoutingPolicy::Adaptive {
+                Self::congestion_of(&self.slab, &self.torus, i, now)
+            } else {
+                [0usize; 4]
+            };
+            for p in 0..ALL_PORTS.len() {
+                if self.slab.queued[SwitchSlab::port(i, p)] > 0 {
+                    let mut blocked = Blockage::NONE;
+                    assert!(
+                        self.plan_port_move(i, p, now, &c, &mut blocked).is_none(),
+                        "sleeping switch {i} could move a packet from port {p} at {now}"
+                    );
+                }
+            }
+        }
     }
 
     fn forward_phase(
@@ -1045,6 +1177,8 @@ impl<P> Network<P> {
         // switch (active or not), exactly as the exhaustive scan did.
         let start_port = (self.forward_rounds % ALL_PORTS.len() as u64) as usize;
         self.forward_rounds += 1;
+        #[cfg(debug_assertions)]
+        self.assert_sleepers_blocked(now);
         if self.active.is_empty() {
             return;
         }
@@ -1074,11 +1208,11 @@ impl<P> Network<P> {
         // `rotation, rotation+1, …, n-1, 0, …, rotation-1` via the sparse
         // bitmap cursor: O(n/64 + |active|) instead of the O(n) dense
         // membership scan, which matters once machines grow past 16 nodes.
-        // Forwarding only ever deactivates the switch being processed (never
-        // a later one, and it activates none), so an explicit cursor over
-        // `next_at_or_after` visits exactly the switches the dense rotation
-        // scan would have, in the same order — the schedule stays
-        // bit-identical.
+        // Forwarding only ever deactivates (or puts to sleep) the switch
+        // being processed (never a later one, and it activates none), so an
+        // explicit cursor over `next_at_or_after` visits exactly the switches
+        // the dense rotation scan would have, in the same order — the
+        // schedule stays bit-identical.
         let mut pos = rotation;
         while let Some(i) = self.active.next_at_or_after(pos) {
             self.forward_switch(i, now, start_port, faults.as_deref_mut());
@@ -1120,6 +1254,8 @@ impl<P> Network<P> {
         // neighbour-gathering entirely.
         let adaptive = self.routing == RoutingPolicy::Adaptive;
         let mut congestion: Option<[usize; 4]> = None;
+        let mut blocked = Blockage::NONE;
+        let mut moved = false;
         for pk in 0..ALL_PORTS.len() {
             let p = (start_port + pk) % ALL_PORTS.len();
             if self.slab.queued[SwitchSlab::port(i, p)] == 0 {
@@ -1131,9 +1267,15 @@ impl<P> Network<P> {
             } else {
                 [0usize; 4]
             };
-            if let Some(decision) = self.plan_port_move(i, p, now, &c) {
+            if let Some(decision) = self.plan_port_move(i, p, now, &c, &mut blocked) {
                 self.apply_move(i, p, decision, now, faults.as_deref_mut());
                 congestion = None;
+                moved = true;
+            }
+        }
+        if !moved {
+            if let Some(until) = blocked.wake_cycle() {
+                self.sleep(i, until);
             }
         }
     }
@@ -1159,13 +1301,15 @@ impl<P> Network<P> {
     /// Read-only pass: decide which (if any) packet of input port `p` of
     /// switch `i` can move this cycle, and where to. `congestion` is the
     /// per-direction congestion metric, computed once per switch visit (its
-    /// inputs cannot change during planning).
+    /// inputs cannot change during planning). Every head that cannot move
+    /// records what held it in `blocked`.
     fn plan_port_move(
         &self,
         i: usize,
         p: usize,
         now: Cycle,
         congestion: &[usize; 4],
+        blocked: &mut Blockage,
     ) -> Option<MoveDecision> {
         let node = NodeId::from(i);
         let nb = self.slab.buffers_per_port;
@@ -1188,15 +1332,17 @@ impl<P> Network<P> {
                         action: MoveAction::Eject { queue: q },
                     });
                 }
+                blocked.other = true;
                 continue; // head blocked on ejection space; try other buffers
             }
             let cands = route_candidates(&self.torus, self.routing, node, pkt.dst, congestion);
             let current_vc = self.layout.vc_of_buffer(b);
             let serialization = self.cfg.link_bandwidth.serialization_cycles(pkt.bytes());
 
-            let try_hop = |dir: Direction, use_adaptive: bool| -> Option<MoveDecision> {
-                let di = dir.index();
-                if !self.slab.link_is_free(SwitchSlab::link(i, di), now) {
+            let mut try_hop = |dir: Direction, use_adaptive: bool| -> Option<MoveDecision> {
+                let l = SwitchSlab::link(i, dir.index());
+                if !self.slab.link_is_free(l, now) {
+                    blocked.busy_link(self.slab.busy_until[l]);
                     return None;
                 }
                 let crosses = self.torus.crosses_dateline(node, dir);
@@ -1221,6 +1367,7 @@ impl<P> Network<P> {
                         },
                     })
                 } else {
+                    blocked.other = true;
                     None
                 }
             };
@@ -1575,6 +1722,9 @@ impl<P> Network<P> {
                 self.active.remove(i);
                 fx.deactivate = false;
             }
+            if let Some(until) = fx.sleep.take() {
+                self.sleep(i, until);
+            }
         }
         // Reset the inverse index for the next phase.
         for &i in &scratch.order {
@@ -1614,6 +1764,8 @@ fn forward_switch_parallel<P>(
             c == UNBOUNDED || ((*sh.queues.add(s)).len() as u32) + *sh.reserved.add(s) < c
         };
         let mut congestion: Option<[usize; 4]> = None;
+        let mut blocked = Blockage::NONE;
+        let mut moved = false;
         for pk in 0..ALL_PORTS.len() {
             let p = (start_port + pk) % ALL_PORTS.len();
             let pi = SwitchSlab::port(i, p);
@@ -1659,14 +1811,16 @@ fn forward_switch_parallel<P>(
                         });
                         break 'plan;
                     }
+                    blocked.other = true;
                     continue;
                 }
                 let cands = route_candidates(torus, routing, node, pkt.dst, &c);
                 let current_vc = layout.vc_of_buffer(b);
                 let serialization = cfg.link_bandwidth.serialization_cycles(pkt.bytes());
-                let try_hop = |dir: Direction, use_adaptive: bool| -> Option<MoveDecision> {
-                    let di = dir.index();
-                    if *sh.busy_until.add(SwitchSlab::link(i, di)) > now {
+                let mut try_hop = |dir: Direction, use_adaptive: bool| -> Option<MoveDecision> {
+                    let busy_until = *sh.busy_until.add(SwitchSlab::link(i, dir.index()));
+                    if busy_until > now {
+                        blocked.busy_link(busy_until);
                         return None;
                     }
                     let crosses = torus.crosses_dateline(node, dir);
@@ -1691,6 +1845,7 @@ fn forward_switch_parallel<P>(
                             },
                         })
                     } else {
+                        blocked.other = true;
                         None
                     }
                 };
@@ -1773,13 +1928,17 @@ fn forward_switch_parallel<P>(
             }
             *sh.rr_next.add(pi) = ((decision.buffer + 1) % bpp) as u32;
             congestion = None;
+            moved = true;
+        }
+        if !moved {
+            fx.sleep = blocked.wake_cycle();
         }
     }
 }
 
 impl<P> Network<P> {
     /// Checks the incremental worklist bookkeeping (per-port and per-switch
-    /// queued counters, active-set membership, per-node ejection counts,
+    /// queued counters, active/sleeping membership, per-node ejection counts,
     /// arena liveness) against a full scan of the underlying queues. Test
     /// support; O(network).
     #[cfg(test)]
@@ -1801,10 +1960,15 @@ impl<P> Network<P> {
                 self.slab.queued_total[i] as usize, total,
                 "switch counter at {i}"
             );
+            let sleeping = self.wake_at[i] != Cycle::MAX;
+            assert!(
+                !(sleeping && self.active.contains(i)),
+                "switch {i} both active and sleeping"
+            );
             assert_eq!(
-                self.active.contains(i),
+                self.active.contains(i) || sleeping,
                 total > 0,
-                "active-set membership at {i}"
+                "active-or-sleeping membership at {i}"
             );
         }
         for (i, queues) in self.eject.iter().enumerate() {

@@ -1224,3 +1224,238 @@ fn next_due_reports_the_next_arrival_and_nothing_when_empty() {
         assert!(net.eject_any(NodeId(1)).is_none());
     }
 }
+
+/// A 16-node 400 MB/s network whose switch 0 holds two data messages for
+/// its East neighbour: the first leaves at cycle 1 and holds the link for a
+/// full data serialization, the second waits behind it. Returns the network
+/// after `tick(2)` and the cycle the East link frees.
+fn switch_behind_a_serializing_link() -> (Net, Cycle) {
+    let mut net: Net = Network::new(NetConfig::conventional(16, LinkBandwidth::MB_400));
+    for payload in 0..2 {
+        net.inject(
+            1,
+            NodeId(0),
+            NodeId(1),
+            VirtualNetwork::Response,
+            MessageSize::Data,
+            payload,
+        )
+        .expect("empty network");
+    }
+    net.tick(1);
+    let free_at = net.slab.busy_until[SwitchSlab::link(0, Direction::East.index())];
+    let serialization = LinkBandwidth::MB_400.serialization_cycles(specsim_base::DATA_MSG_BYTES);
+    assert_eq!(free_at, 1 + serialization);
+    net.tick(2);
+    (net, free_at)
+}
+
+#[test]
+fn a_switch_behind_a_serializing_link_sleeps_until_the_link_frees() {
+    let (mut net, free_at) = switch_behind_a_serializing_link();
+    assert_eq!(
+        net.wake_at[0], free_at,
+        "switch 0 should sleep until its link frees"
+    );
+    assert!(!net.active.contains(0));
+    let visits = net.forward_probe().switch_visits;
+    for now in 3..free_at {
+        net.tick(now);
+        assert_eq!(net.wake_at[0], free_at, "woke early at {now}");
+        net.assert_worklist_invariants();
+    }
+    // Nothing else holds queued packets, so no switch was visited.
+    assert_eq!(net.forward_probe().switch_visits, visits);
+    assert_eq!(net.stats().hops.get(), 1);
+    net.tick(free_at);
+    // Woken before the forward phase of its wake cycle: the second message
+    // leaves on exactly the cycle the link frees.
+    assert_eq!(net.wake_at[0], Cycle::MAX);
+    assert_eq!(net.stats().hops.get(), 2);
+    let serialization = LinkBandwidth::MB_400.serialization_cycles(specsim_base::DATA_MSG_BYTES);
+    assert_eq!(
+        net.slab.busy_until[SwitchSlab::link(0, Direction::East.index())],
+        free_at + serialization
+    );
+    let (_, delivered) = run_until_drained(&mut net, free_at, 10_000);
+    assert_eq!(delivered.len(), 2);
+    net.assert_worklist_invariants();
+}
+
+#[test]
+fn an_injection_wakes_a_sleeping_switch_the_same_cycle() {
+    let (mut net, free_at) = switch_behind_a_serializing_link();
+    let now = 100;
+    for tick in 3..now {
+        net.tick(tick);
+    }
+    assert_eq!(net.wake_at[0], free_at);
+    // A control message for the southern neighbour: its link is free.
+    net.inject(
+        now,
+        NodeId(0),
+        NodeId(4),
+        VirtualNetwork::Request,
+        MessageSize::Control,
+        9,
+    )
+    .expect("injection space");
+    assert_eq!(
+        net.wake_at[0],
+        Cycle::MAX,
+        "injection left the switch asleep"
+    );
+    assert!(net.active.contains(0));
+    net.assert_worklist_invariants();
+    net.tick(now);
+    assert_eq!(
+        net.stats().hops.get(),
+        2,
+        "the injected message did not leave"
+    );
+    // Its only remaining head still waits on the East link.
+    net.tick(now + 1);
+    assert_eq!(net.wake_at[0], free_at);
+    net.assert_worklist_invariants();
+}
+
+#[test]
+fn a_link_arrival_wakes_a_sleeping_switch_the_same_cycle() {
+    let (mut net, free_at) = switch_behind_a_serializing_link();
+    // A control message from the southern neighbour to switch 0 itself.
+    net.inject(
+        3,
+        NodeId(4),
+        NodeId(0),
+        VirtualNetwork::Request,
+        MessageSize::Control,
+        9,
+    )
+    .expect("injection space");
+    net.tick(3);
+    let arrival = net.slab.in_transit[SwitchSlab::link(4, Direction::North.index())]
+        .front()
+        .or_else(|| net.slab.in_transit[SwitchSlab::link(4, Direction::South.index())].front())
+        .expect("the message is on a link")
+        .arrival;
+    assert!(arrival < free_at);
+    for now in 4..arrival {
+        net.tick(now);
+        assert!(net.eject_any(NodeId(0)).is_none());
+    }
+    assert_eq!(net.wake_at[0], free_at);
+    net.tick(arrival);
+    // Delivered, woken and ejected within the arrival cycle.
+    let p = net
+        .eject_any(NodeId(0))
+        .expect("ejected on its arrival cycle");
+    assert_eq!(p.payload, 9);
+    // It sleeps again only after a visit that moves nothing.
+    assert_eq!(net.wake_at[0], Cycle::MAX);
+    net.tick(arrival + 1);
+    assert_eq!(net.wake_at[0], free_at);
+    net.assert_worklist_invariants();
+}
+
+#[test]
+fn next_due_is_the_wake_cycle_when_only_sleepers_hold_packets() {
+    let (net, free_at) = switch_behind_a_serializing_link();
+    // The first message arrives a switch latency after the link frees, so
+    // the wake-up is the earliest due cycle.
+    assert_eq!(net.next_due(2), Some(free_at));
+    let mut ticked = net.clone();
+    for now in 3..free_at {
+        assert_eq!(ticked.next_due(now - 1), Some(free_at));
+        ticked.tick(now);
+    }
+    let mut skipped = net;
+    skipped.skip_idle_ticks(free_at - 1, free_at - 3);
+    let (end_ticked, log_ticked) = run_until_drained(&mut ticked, free_at - 1, 10_000);
+    let (end_skipped, log_skipped) = run_until_drained(&mut skipped, free_at - 1, 10_000);
+    assert_eq!(end_ticked, end_skipped);
+    let payloads = |log: &[Packet<u64>]| log.iter().map(|p| p.payload).collect::<Vec<_>>();
+    assert_eq!(payloads(&log_ticked), payloads(&log_skipped));
+    assert_eq!(log_ticked.len(), 2);
+    assert_eq!(
+        format!("{:?}", ticked.stats()),
+        format!("{:?}", skipped.stats())
+    );
+    assert_eq!(ticked.forward_probe(), skipped.forward_probe());
+    assert_eq!(ticked.forward_rounds, skipped.forward_rounds);
+    assert_eq!(ticked.arrivals.next, skipped.arrivals.next);
+}
+
+#[test]
+fn a_routing_change_wakes_every_sleeping_switch() {
+    let (mut net, free_at) = switch_behind_a_serializing_link();
+    assert_eq!(net.wake_at[0], free_at);
+    net.set_routing(RoutingPolicy::Static);
+    assert_eq!(
+        net.wake_at[0], free_at,
+        "an unchanged policy woke the switch"
+    );
+    net.set_routing(RoutingPolicy::Adaptive);
+    assert_eq!(net.wake_at[0], Cycle::MAX);
+    assert!(net.active.contains(0));
+    net.assert_worklist_invariants();
+}
+
+/// Heavy mixed control/data traffic on a 256-node 400 MB/s adaptive torus,
+/// recording every switch's wake cycle after every tick. `pool` selects the
+/// forward-phase executor; the sleep schedule must not depend on it.
+fn sleep_schedule(pool: Option<&specsim_base::WorkerPool>) -> (Vec<Vec<Cycle>>, ForwardProbe) {
+    let mut cfg = NetConfig::conventional(256, LinkBandwidth::MB_400);
+    cfg.routing = RoutingPolicy::Adaptive;
+    let mut net: Net = Network::new(cfg);
+    let mut rng = DetRng::new(43);
+    let mut schedule = Vec::new();
+    let mut now = 0;
+    let mut payload = 0u64;
+    while now < 200 || (net.in_flight() > 0 && now < 100_000) {
+        now += 1;
+        if now < 200 {
+            for _ in 0..4 {
+                let src = NodeId::from(rng.next_below(256) as usize);
+                let dst = NodeId::from(rng.next_below(256) as usize);
+                let vnet = crate::packet::ALL_VIRTUAL_NETWORKS[rng.next_below(4) as usize];
+                let size = if rng.next_below(2) == 0 {
+                    MessageSize::Data
+                } else {
+                    MessageSize::Control
+                };
+                if net.can_inject(src, vnet) {
+                    net.inject(now, src, dst, vnet, size, payload)
+                        .expect("space checked");
+                    payload += 1;
+                }
+            }
+        }
+        net.tick_with_pool(now, pool);
+        drain_all_ejections(&mut net);
+        schedule.push(net.wake_at.clone());
+    }
+    assert_eq!(net.in_flight(), 0, "scenario wedged");
+    net.assert_worklist_invariants();
+    (schedule, net.forward_probe())
+}
+
+#[test]
+fn sharded_forwarding_puts_the_same_switches_to_sleep() {
+    let (serial, serial_probe) = sleep_schedule(None);
+    let pool = specsim_base::WorkerPool::with_exact_threads(4);
+    let (sharded, sharded_probe) = sleep_schedule(Some(&pool));
+    let sleeps: usize = serial
+        .iter()
+        .map(|w| w.iter().filter(|&&c| c != Cycle::MAX).count())
+        .sum();
+    assert!(sleeps > 10_000, "only {sleeps} switch-cycles asleep");
+    assert!(
+        sharded_probe.parallel_phases > 0,
+        "the sharded path never ran"
+    );
+    assert_eq!(serial.len(), sharded.len());
+    for (cycle, (s, p)) in serial.iter().zip(&sharded).enumerate() {
+        assert_eq!(s, p, "sleep sets diverged after tick {}", cycle + 1);
+    }
+    assert_eq!(serial_probe.switch_visits, sharded_probe.switch_visits);
+}

@@ -163,8 +163,8 @@ impl SwitchSlab {
 
     /// Accepts a message whose slot was previously reserved.
     pub fn accept_reserved(&mut self, s: usize, id: u32) {
-        debug_assert!(self.reserved[s] > 0, "delivery without reservation");
-        self.reserved[s] = self.reserved[s].saturating_sub(1);
+        assert!(self.reserved[s] > 0, "delivery without reservation");
+        self.reserved[s] -= 1;
         // A reserved slot is guaranteed to exist; an unbounded queue always
         // accepts. Losing a packet here would be a flow-control bug.
         self.push(s, id)
@@ -327,7 +327,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "delivery without reservation")]
-    fn accepting_without_reservation_panics_in_debug() {
+    fn accepting_without_reservation_panics() {
         let mut slab = SwitchSlab::new(1, &shared_layout(2), false);
         slab.accept_reserved(0, 0);
     }

@@ -211,26 +211,23 @@ impl<S: Clone> SafetyNet<S> {
     /// than the recovery point, clears all speculative log entries, and
     /// returns the snapshot to restore together with the cost accounting.
     pub fn recover(&mut self, now: Cycle) -> (S, RecoveryOutcome) {
-        let point = self
-            .checkpoints
-            .front()
-            .expect("at least one checkpoint")
-            .clone();
-        // Everything after the recovery point is speculative and discarded.
-        self.checkpoints.clear();
-        self.checkpoints.push_back(point.clone());
-        for log in &mut self.logs {
-            log.clear();
-        }
-        self.last_checkpoint_at = point.at;
+        // Everything after the recovery point is speculative and discarded;
+        // the recovery point itself stays, so its state is copied once.
+        self.checkpoints.truncate(1);
+        let point = self.checkpoints.front().expect("at least one checkpoint");
+        let state = point.state.clone();
         let outcome = RecoveryOutcome {
             checkpoint_id: point.id,
             checkpoint_cycle: point.at,
             lost_work_cycles: now.saturating_sub(point.at),
             recovery_latency_cycles: self.cfg.register_checkpoint_cycles + RECOVERY_RESTORE_CYCLES,
         };
+        for log in &mut self.logs {
+            log.clear();
+        }
+        self.last_checkpoint_at = outcome.checkpoint_cycle;
         self.stats.recovery.record(&outcome);
-        (point.state, outcome)
+        (state, outcome)
     }
 }
 

@@ -309,3 +309,56 @@ fn default_snooping_machine_is_drive_independent() {
     let out = assert_drive_independent(&Machine::Snoop(cfg), 40_000);
     assert!(out.probe.fast_forward_cycles > 0, "the bus never went idle");
 }
+
+#[test]
+fn forward_probe_never_rewinds_across_recoveries() {
+    // The fabric's forward probe lives inside the checkpointed network; a
+    // rollback restores the network but must carry the live counters over,
+    // so the probe counts the work actually done and never decreases.
+    let mut sys = DirectorySystem::new(zipf_machine().with_workers_pinned(1));
+    let rollbacks = |sys: &DirectorySystem| {
+        sys.mode_timeline()
+            .transitions()
+            .iter()
+            .filter(|t| t.to == EngineMode::Rollback)
+            .count()
+    };
+    let mut last = sys.net_forward_probe().switch_visits;
+    while rollbacks(&sys) < 2 {
+        assert!(sys.now() < 400_000, "fewer than two recoveries");
+        sys.step().expect("no protocol errors");
+        let visits = sys.net_forward_probe().switch_visits;
+        assert!(visits >= last, "switch visits fell from {last} to {visits}");
+        last = visits;
+    }
+}
+
+#[test]
+fn sleeping_switches_are_worker_independent() {
+    // Switch sleep takes the same decisions on the serial and the sharded
+    // forward path, so the forward phase visits the same switches at every
+    // worker count (only how the visits were executed may differ).
+    let mut cfg = SystemConfig::directory_speculative(WorkloadKind::Oltp, LinkBandwidth::MB_400, 5)
+        .with_nodes(256);
+    cfg.memory.mshr_entries = 16;
+    cfg.traffic = heavy_traffic();
+    let visits = |workers: usize| {
+        let mut sys = DirectorySystem::new(cfg.with_workers_pinned(workers));
+        sys.run_for(2_000).expect("no protocol errors");
+        sys.verify_coherence().expect("coherent");
+        sys.net_forward_probe()
+    };
+    let serial = visits(1);
+    assert!(serial.switch_visits > 0);
+    for workers in [2, 4] {
+        let parallel = visits(workers);
+        assert_eq!(
+            parallel.switch_visits, serial.switch_visits,
+            "{workers} workers visited different switches"
+        );
+        assert!(
+            parallel.parallel_phases > 0,
+            "{workers} workers never sharded"
+        );
+    }
+}
